@@ -38,9 +38,11 @@
 //! [`DEPARTURE_QUEUE_SLACK`]` * queue_cap`, past which they are durably
 //! *rejected* so a departure flood cannot exhaust memory. Malformed
 //! lines cannot be attributed to a tenant reliably, so they are counted
-//! (`serve.malformed`) but not durable.
+//! (`serve.malformed`) but not durable. A tenant name longer than
+//! [`MAX_TENANT_NAME_LEN`] makes its line malformed: the name becomes the
+//! tenant's file names, and one over-long name must not stop the daemon.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 
 use xbar_admission::Event;
@@ -67,20 +69,39 @@ pub struct ParsedLine {
     pub event: ParsedEvent,
 }
 
+/// The longest tenant name (in bytes) a line may carry. Names become the
+/// tenant's `<name>.wal` / `<name>.snap` file names, so this stays well
+/// under the usual 255-byte file-name limit with any suffix.
+pub const MAX_TENANT_NAME_LEN: usize = 128;
+
 /// Parse one protocol line. `Ok(None)` = blank or comment;
 /// `Err` = malformed, with a reason.
 pub fn parse_line(raw: &str) -> Result<Option<ParsedLine>, String> {
+    Ok(parse_fields(raw)?.map(|(tenant, event)| ParsedLine {
+        tenant: tenant.to_string(),
+        event,
+    }))
+}
+
+/// [`parse_line`] with the tenant name borrowed from `raw`, so ingest
+/// allocates a name only when it opens a new tenant.
+fn parse_fields(raw: &str) -> Result<Option<(&str, ParsedEvent)>, String> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
-    let tenant = parts.next().ok_or("missing tenant")?.to_string();
+    let tenant = parts.next().ok_or("missing tenant")?;
     if !tenant
         .chars()
         .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
     {
         return Err(format!("bad tenant name '{tenant}'"));
+    }
+    if tenant.len() > MAX_TENANT_NAME_LEN {
+        return Err(format!(
+            "tenant name longer than {MAX_TENANT_NAME_LEN} bytes"
+        ));
     }
     let op = parts.next().ok_or("missing op (a|d)")?;
     let class_s = parts.next().ok_or("missing class index")?;
@@ -109,10 +130,7 @@ pub fn parse_line(raw: &str) -> Result<Option<ParsedLine>, String> {
         "d" => Event::Departure { class },
         _ => return Err(format!("bad op '{op}' (expected a|d)")),
     };
-    Ok(Some(ParsedLine {
-        tenant,
-        event: ParsedEvent { event, t },
-    }))
+    Ok(Some((tenant, ParsedEvent { event, t })))
 }
 
 /// Daemon configuration.
@@ -208,14 +226,32 @@ struct Queued {
     skewed: bool,
 }
 
+/// One tenant's row in the slot table: its supervised state, its ingest
+/// queue and its clock-skew watermark. The tenant is boxed so opening one
+/// mid-table moves small rows, not whole engines.
+struct Slot {
+    name: String,
+    tenant: Box<Tenant>,
+    queue: VecDeque<Queued>,
+    last_t: Option<f64>,
+}
+
 /// The multi-tenant admission daemon.
+///
+/// Per-event work is independent of the number of idle tenants: the slot
+/// table is kept sorted by name, so one binary search resolves a line's
+/// tenant and a slot's index is its rank in name order. The pump walks
+/// only the `ready` slots (non-empty queues), and the re-anchor batch
+/// drains only the `pending` slots (recorded when an apply leaves a
+/// deferred re-anchor behind). Both sets iterate in name order, which is
+/// the apply order contract `kill_after` and the chaos battery rely on.
 pub struct Daemon {
     dir: PathBuf,
     model: Model,
     cfg: DaemonConfig,
-    tenants: BTreeMap<String, Tenant>,
-    queues: BTreeMap<String, VecDeque<Queued>>,
-    last_t: BTreeMap<String, f64>,
+    slots: Vec<Slot>,
+    ready: BTreeSet<usize>,
+    pending: BTreeSet<usize>,
     next_line: u64,
     counters: DaemonCounters,
 }
@@ -233,9 +269,9 @@ impl Daemon {
             dir: dir.to_path_buf(),
             model: model.clone(),
             cfg,
-            tenants: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            last_t: BTreeMap::new(),
+            slots: Vec::new(),
+            ready: BTreeSet::new(),
+            pending: BTreeSet::new(),
             next_line: 0,
             counters: DaemonCounters::default(),
         };
@@ -253,20 +289,40 @@ impl Daemon {
         }
         names.sort();
         for name in names {
-            let report = daemon.open_tenant(&name)?;
+            let at = daemon.slots.len();
+            let report = daemon.open_tenant(at, name.clone())?;
             reports.push((name, report));
         }
         Ok((daemon, reports))
     }
 
-    fn open_tenant(&mut self, name: &str) -> Result<RecoveryReport, ServeError> {
+    /// The slot of tenant `name`: `Ok(index)`, or `Err(index)` where it
+    /// would be inserted to keep the table in name order.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.slots.binary_search_by(|s| s.name.as_str().cmp(name))
+    }
+
+    /// Open tenant `name` into slot `at` (its rank in name order). Slots
+    /// from `at` on move up one, and so do their entries in the ready and
+    /// pending sets.
+    fn open_tenant(&mut self, at: usize, name: String) -> Result<RecoveryReport, ServeError> {
         // Daemon-owned tenants defer drift re-anchors so each pump pass
         // can coalesce them into one fleet solve.
         let mut tcfg = self.cfg.tenant.clone();
         tcfg.coalesce_reanchors = true;
-        let (tenant, report) = Tenant::open(name, &self.dir, &self.model, tcfg)?;
-        self.tenants.insert(name.to_string(), tenant);
-        self.queues.insert(name.to_string(), VecDeque::new());
+        let (tenant, report) = Tenant::open(&name, &self.dir, &self.model, tcfg)?;
+        self.slots.insert(
+            at,
+            Slot {
+                name,
+                tenant: Box::new(tenant),
+                queue: VecDeque::new(),
+                last_t: None,
+            },
+        );
+        for set in [&mut self.ready, &mut self.pending] {
+            *set = set.iter().map(|&i| i + usize::from(i >= at)).collect();
+        }
         Ok(report)
     }
 
@@ -280,9 +336,9 @@ impl Daemon {
     /// for those.
     pub fn seek_past_durable(&mut self) {
         let max = self
-            .tenants
-            .values()
-            .map(Tenant::resume_seq)
+            .slots
+            .iter()
+            .map(|s| s.tenant.resume_seq())
             .max()
             .unwrap_or(0);
         self.next_line = self.next_line.max(max);
@@ -295,7 +351,7 @@ impl Daemon {
         self.next_line += 1;
         let seq = self.next_line;
         self.counters.lines += 1;
-        let parsed = match parse_line(raw) {
+        let (name, parsed) = match parse_fields(raw) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
             Err(_) => {
@@ -304,38 +360,33 @@ impl Daemon {
                 return Ok(());
             }
         };
-        if !self.tenants.contains_key(&parsed.tenant) {
-            self.open_tenant(&parsed.tenant)?;
-        }
+        let at = match self.find(name) {
+            Ok(at) => at,
+            Err(at) => {
+                self.open_tenant(at, name.to_string())?;
+                at
+            }
+        };
+        let slot = &mut self.slots[at];
         // Clock-skew detection: a timestamp that runs backwards within the
         // tenant's stream flags the event (last_t only advances).
         let mut skewed = false;
-        if let Some(t) = parsed.event.t {
-            match self.last_t.get_mut(&parsed.tenant) {
-                Some(last) if t < *last => skewed = true,
-                Some(last) => *last = t,
-                None => {
-                    self.last_t.insert(parsed.tenant.clone(), t);
-                }
+        if let Some(t) = parsed.t {
+            match slot.last_t {
+                Some(last) if t < last => skewed = true,
+                _ => slot.last_t = Some(t),
             }
         }
-        let tenant = self
-            .tenants
-            .get_mut(&parsed.tenant)
-            .expect("tenant opened above");
         // Crash-resume dedupe: a durable record from before this process
         // started — skip before it costs queue space. (A seq merely below
         // the resume watermark with no record was queued-but-lost at the
         // crash; it falls through and applies.)
-        if tenant.is_durable(seq) {
+        if slot.tenant.is_durable(seq) {
             self.counters.duplicates += 1;
             return Ok(());
         }
-        let queue = self
-            .queues
-            .get_mut(&parsed.tenant)
-            .expect("queue exists with tenant");
-        if self.cfg.queue_cap > 0 && queue.len() >= self.cfg.queue_cap {
+        let event = parsed.event;
+        if self.cfg.queue_cap > 0 && slot.queue.len() >= self.cfg.queue_cap {
             // Bounded queue full: deny-with-reason, durably. Departures
             // are never shed (dropping one would wedge the occupancy
             // vector forever), so they may keep queueing past the cap —
@@ -344,53 +395,59 @@ impl Daemon {
             // exhaust memory, so the departure is durably *rejected*
             // (counted outside the offers identity; the occupancy vector
             // may stay overstated — the documented cost of staying alive).
-            let class = match parsed.event.event {
-                Event::Arrival { class } | Event::Departure { class } => class,
-            };
-            match parsed.event.event {
-                Event::Arrival { .. } => {
-                    tenant.shed(seq, class as u16, skewed)?;
+            // The queue is non-empty here, so the slot is already ready.
+            match event {
+                Event::Arrival { class } => {
+                    slot.tenant.shed(seq, class as u16, skewed)?;
                     xbar_obs::inc("serve.shed");
                 }
-                Event::Departure { .. } => {
+                Event::Departure { class } => {
                     let hard_cap = self.cfg.queue_cap.saturating_mul(DEPARTURE_QUEUE_SLACK);
-                    if queue.len() >= hard_cap {
-                        tenant.reject(seq, class as u16, skewed)?;
+                    if slot.queue.len() >= hard_cap {
+                        slot.tenant.reject(seq, class as u16, skewed)?;
                         xbar_obs::inc("serve.departure_overflow");
                     } else {
-                        queue.push_back(Queued {
-                            seq,
-                            event: parsed.event.event,
-                            skewed,
-                        });
+                        slot.queue.push_back(Queued { seq, event, skewed });
                     }
                 }
             }
             return Ok(());
         }
-        queue.push_back(Queued {
-            seq,
-            event: parsed.event.event,
-            skewed,
-        });
+        if slot.queue.is_empty() {
+            self.ready.insert(at);
+        }
+        slot.queue.push_back(Queued { seq, event, skewed });
         Ok(())
     }
 
-    /// Apply up to `budget` queued events, round-robin across tenants.
-    /// Returns how many were applied. Honours the chaos `kill_after` hook
-    /// and per-tenant restart backoffs.
+    /// Apply up to `budget` queued events, round-robin across tenants:
+    /// each pass applies one event from every non-empty queue in tenant
+    /// name order, and passes repeat until `budget` is spent or every
+    /// queue is empty. Every call starts a fresh pass at the first name.
+    /// Duplicates do not count against `budget`. Returns how many were
+    /// applied. Honours the chaos `kill_after` hook and per-tenant
+    /// restart backoffs.
     pub fn pump(&mut self, budget: u64) -> Result<u64, ServeError> {
         let mut applied = 0u64;
-        while applied < budget {
-            let mut progressed = false;
-            for (name, queue) in self.queues.iter_mut() {
-                if applied >= budget {
+        while applied < budget && !self.ready.is_empty() {
+            let mut from = 0;
+            while applied < budget {
+                let Some(&at) = self.ready.range(from..).next() else {
                     break;
+                };
+                from = at + 1;
+                let slot = &mut self.slots[at];
+                let q = slot.queue.pop_front().expect("ready slots are non-empty");
+                if slot.queue.is_empty() {
+                    self.ready.remove(&at);
                 }
-                let Some(q) = queue.pop_front() else { continue };
-                let tenant = self.tenants.get_mut(name).expect("tenant exists");
-                let outcome = tenant.apply(q.seq, q.event, q.skewed)?;
-                if outcome == Outcome::Duplicate {
+                // Re-anchors only become pending inside `apply`, so this is
+                // the one place the pending set needs to learn of them.
+                let outcome = slot.tenant.apply(q.seq, q.event, q.skewed);
+                if slot.tenant.reanchor_pending() {
+                    self.pending.insert(at);
+                }
+                if outcome? == Outcome::Duplicate {
                     self.counters.duplicates += 1;
                 } else {
                     applied += 1;
@@ -403,57 +460,60 @@ impl Daemon {
                         }
                     }
                 }
-                if let Some(backoff) = tenant.take_backoff() {
-                    self.counters.backoff_ns += backoff.as_nanos() as u64;
-                    if self.cfg.sleep_on_backoff {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                progressed = true;
-            }
-            if !progressed {
-                break;
+                self.take_backoff(at);
             }
         }
         self.complete_pending_reanchors()?;
         Ok(applied)
     }
 
+    /// Account (and, in CLI mode, sleep) a restart backoff slot `at`'s
+    /// tenant asked for.
+    fn take_backoff(&mut self, at: usize) {
+        if let Some(backoff) = self.slots[at].tenant.take_backoff() {
+            self.counters.backoff_ns += backoff.as_nanos() as u64;
+            if self.cfg.sleep_on_backoff {
+                std::thread::sleep(backoff);
+            }
+        }
+    }
+
     /// Complete every deferred drift re-anchor in one fleet batch: a
     /// single [`xbar_core::solve_fleet`] call pre-warms the global solve
     /// cache (deduped, sharded over the worker pool), so each tenant's
     /// own `re_anchor` below is a cache hit instead of a fresh
-    /// sequential solve. Per-tenant failure supervision is untouched —
-    /// fleet errors are not consumed here; the tenant's re-anchor hits
-    /// the same error and walks its own restart/quarantine ladder.
+    /// sequential solve. The batch is the pending set in name order,
+    /// less quarantined tenants. Per-tenant failure supervision is
+    /// untouched — fleet errors are not consumed here; the tenant's
+    /// re-anchor hits the same error and walks its own restart/quarantine
+    /// ladder.
     fn complete_pending_reanchors(&mut self) -> Result<(), ServeError> {
-        let due: Vec<String> = self
-            .tenants
+        let due: Vec<usize> = self
+            .pending
             .iter()
-            .filter(|(_, t)| t.reanchor_pending() && !t.quarantined())
-            .map(|(n, _)| n.clone())
+            .copied()
+            .filter(|&at| {
+                let t = &self.slots[at].tenant;
+                t.reanchor_pending() && !t.quarantined()
+            })
             .collect();
-        if due.is_empty() {
-            return Ok(());
+        if !due.is_empty() {
+            let models: Vec<Model> = due
+                .iter()
+                .map(|&at| self.slots[at].tenant.model().clone())
+                .collect();
+            let _ = xbar_core::solve_fleet(&models, self.cfg.tenant.algorithm);
+            self.counters.batched_reanchors += due.len() as u64;
+            self.counters.reanchor_batches += 1;
+            xbar_obs::record("serve.reanchor.batch_size", due.len() as f64);
         }
-        let models: Vec<Model> = due
-            .iter()
-            .map(|n| self.tenants[n].model().clone())
-            .collect();
-        let _ = xbar_core::solve_fleet(&models, self.cfg.tenant.algorithm);
-        self.counters.batched_reanchors += due.len() as u64;
-        self.counters.reanchor_batches += 1;
-        xbar_obs::record("serve.reanchor.batch_size", due.len() as f64);
-        for name in due {
-            let tenant = self.tenants.get_mut(&name).expect("tenant exists");
-            tenant.complete_pending_reanchor()?;
-            if let Some(backoff) = tenant.take_backoff() {
-                self.counters.backoff_ns += backoff.as_nanos() as u64;
-                if self.cfg.sleep_on_backoff {
-                    std::thread::sleep(backoff);
-                }
-            }
+        for at in due {
+            // Leave the not-yet-completed slots pending if this one fails.
+            self.pending.remove(&at);
+            self.slots[at].tenant.complete_pending_reanchor()?;
+            self.take_backoff(at);
         }
+        self.pending.clear();
         Ok(())
     }
 
@@ -465,8 +525,8 @@ impl Daemon {
     /// Drain, snapshot, and sync every tenant (clean shutdown).
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         self.drain()?;
-        for tenant in self.tenants.values_mut() {
-            tenant.shutdown()?;
+        for slot in &mut self.slots {
+            slot.tenant.shutdown()?;
         }
         Ok(())
     }
@@ -474,7 +534,7 @@ impl Daemon {
     /// Fleet-wide accounting (sums every tenant).
     pub fn accounting(&self) -> Accounting {
         let mut acc = Accounting::default();
-        for t in self.tenants.values() {
+        for t in self.fleet() {
             let s = t.engine().stats();
             acc.offers += t.offers();
             acc.admitted += s.admitted();
@@ -490,7 +550,7 @@ impl Daemon {
     /// Sum of serve counters across tenants.
     pub fn serve_counters(&self) -> ServeCounters {
         let mut out = ServeCounters::default();
-        for t in self.tenants.values() {
+        for t in self.fleet() {
             let c = t.counters();
             out.shed += c.shed;
             out.rejected += c.rejected;
@@ -505,7 +565,7 @@ impl Daemon {
 
     /// Number of quarantined tenants.
     pub fn quarantined_tenants(&self) -> usize {
-        self.tenants.values().filter(|t| t.quarantined()).count()
+        self.fleet().filter(|t| t.quarantined()).count()
     }
 
     /// Flush fleet counters into the active observability sink, including
@@ -534,11 +594,11 @@ impl Daemon {
         xbar_obs::add("serve.lines", self.counters.lines);
         xbar_obs::add("serve.malformed.total", self.counters.malformed);
         xbar_obs::add("serve.duplicates", self.counters.duplicates);
-        xbar_obs::add("serve.tenants", self.tenants.len() as u64);
+        xbar_obs::add("serve.tenants", self.slots.len() as u64);
         xbar_obs::add("serve.quarantined", self.quarantined_tenants() as u64);
-        let stale = self.tenants.values().filter(|t| t.anchor_stale()).count();
+        let stale = self.fleet().filter(|t| t.anchor_stale()).count();
         xbar_obs::set_gauge("serve.anchor_stale", stale as u64);
-        for t in self.tenants.values() {
+        for t in self.fleet() {
             t.engine().flush_obs();
         }
     }
@@ -555,17 +615,25 @@ impl Daemon {
 
     /// The tenants, by name (read access).
     pub fn tenants(&self) -> impl Iterator<Item = (&String, &Tenant)> {
-        self.tenants.iter()
+        self.slots.iter().map(|s| (&s.name, &*s.tenant))
+    }
+
+    /// Every tenant, in name order.
+    fn fleet(&self) -> impl Iterator<Item = &Tenant> {
+        self.slots.iter().map(|s| &*s.tenant)
     }
 
     /// Look up one tenant.
     pub fn tenant(&self, name: &str) -> Option<&Tenant> {
-        self.tenants.get(name)
+        self.find(name).ok().map(|at| &*self.slots[at].tenant)
     }
 
     /// Queued (not yet applied) events across all tenants.
     pub fn queued(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.ready
+            .iter()
+            .map(|&at| self.slots[at].queue.len())
+            .sum()
     }
 
     /// The durable-state directory.
@@ -619,6 +687,42 @@ mod tests {
             "t a 0 1.5", // timestamp without @
         ] {
             assert!(parse_line(bad).is_err(), "{bad:?} should be malformed");
+        }
+        let longest = "n".repeat(MAX_TENANT_NAME_LEN);
+        assert!(parse_line(&format!("{longest} a 0")).unwrap().is_some());
+        assert!(parse_line(&format!("{longest}n a 0")).is_err());
+    }
+
+    #[test]
+    fn an_over_long_tenant_name_is_malformed_and_creates_no_file() {
+        let d = dir("long_name");
+        let m = model();
+        let (mut daemon, _) = Daemon::open(&d, &m, DaemonConfig::default()).unwrap();
+        let long = "x".repeat(300);
+        for line in ["t0 a 0".to_string(), format!("{long} a 0"), "t1 a 0".into()] {
+            daemon.ingest_line(&line).unwrap();
+        }
+        daemon.drain().unwrap();
+        assert_eq!(daemon.counters().malformed, 1);
+        assert_eq!(daemon.counters().lines, 3);
+        let names: Vec<String> = daemon.tenants().map(|(n, _)| n.clone()).collect();
+        assert_eq!(names, ["t0", "t1"]);
+        // The long line consumed seq 2; t1's event took seq 3.
+        assert_eq!(daemon.tenant("t1").unwrap().durable_seq(), 3);
+        for (name, tenant) in daemon.tenants() {
+            assert_eq!(tenant.offers(), 1, "{name}");
+        }
+        let acc = daemon.accounting();
+        assert_eq!(acc.offers, 2);
+        assert!(acc.holds());
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let file = entry.unwrap().file_name();
+            assert!(
+                !file
+                    .to_string_lossy()
+                    .contains(&long[..MAX_TENANT_NAME_LEN]),
+                "{file:?}"
+            );
         }
     }
 
@@ -877,6 +981,131 @@ mod tests {
             assert!(!tenant.reanchor_pending());
             assert_eq!(tenant.engine().stats().re_anchors, 1, "{t}");
             assert!(!tenant.anchor_stale());
+        }
+        let batches = |d: &Daemon| {
+            (
+                d.counters().reanchor_batches,
+                d.counters().batched_reanchors,
+            )
+        };
+
+        // A pump with nothing pending (nothing queued) moves no batch
+        // counter.
+        assert_eq!(daemon.pump(10).unwrap(), 0);
+        assert_eq!(batches(&daemon), (1, 3));
+
+        // Two of the three drift in the same pump, over several passes:
+        // both complete in that pump's single batch, once each.
+        for line in ["t3 a 0", "t1 a 0", "t3 a 0"] {
+            daemon.ingest_line(line).unwrap();
+        }
+        daemon.drain().unwrap();
+        assert_eq!(batches(&daemon), (2, 5));
+        for (t, re_anchors) in [("t1", 2), ("t2", 1), ("t3", 2)] {
+            let tenant = daemon.tenant(t).unwrap();
+            assert!(!tenant.reanchor_pending(), "{t}");
+            assert_eq!(tenant.engine().stats().re_anchors, re_anchors, "{t}");
+        }
+        let (b, n) = batches(&daemon);
+        assert!(b <= n, "batches can never exceed batched re-anchors");
+    }
+
+    #[test]
+    fn a_tenant_that_drifts_then_quarantines_is_not_re_solved() {
+        let d = dir("coalesce_quarantine");
+        let m = model();
+        let cfg = DaemonConfig {
+            tenant: TenantConfig {
+                drift_tol: -1.0,
+                check_interval: 1,
+                max_failures: 2,
+                ..TenantConfig::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let (mut daemon, _) = Daemon::open(&d, &m, cfg).unwrap();
+        // `q` drifts on its first (valid) event, then two unknown-class
+        // arrivals quarantine it within the same pump; `t1` drifts once.
+        for line in ["q a 0", "t1 a 0", "q a 9", "q a 9"] {
+            daemon.ingest_line(line).unwrap();
+        }
+        daemon.drain().unwrap();
+        let q = daemon.tenant("q").unwrap();
+        assert!(q.quarantined());
+        assert_eq!(q.engine().stats().re_anchors, 0, "quarantined: no solve");
+        assert_eq!(daemon.tenant("t1").unwrap().engine().stats().re_anchors, 1);
+        // The batch held `t1` alone.
+        assert_eq!(daemon.counters().reanchor_batches, 1);
+        assert_eq!(daemon.counters().batched_reanchors, 1);
+        // Later pumps never pick the quarantined tenant up again.
+        daemon.ingest_line("q a 0").unwrap();
+        daemon.drain().unwrap();
+        assert_eq!(daemon.counters().reanchor_batches, 1);
+        assert_eq!(daemon.counters().batched_reanchors, 1);
+        assert_eq!(daemon.quarantined_tenants(), 1);
+    }
+
+    /// Name-ordered round-robin, the reference the pump must match: each
+    /// pass gives every tenant with events left one event, in name order,
+    /// until `budget` is spent; every pump call starts a fresh pass.
+    fn round_robin(depths: &[u64], applied: &mut [u64], mut budget: u64) -> u64 {
+        let mut total = 0;
+        loop {
+            let mut progressed = false;
+            for (done, depth) in applied.iter_mut().zip(depths) {
+                if budget == 0 {
+                    return total;
+                }
+                if *done < *depth {
+                    *done += 1;
+                    budget -= 1;
+                    total += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return total;
+            }
+        }
+    }
+
+    #[test]
+    fn pump_applies_round_robin_in_tenant_name_order() {
+        // Name order (alpha, mid, zeta) differs from ingest order.
+        let names = ["alpha", "mid", "zeta"];
+        let depths = [3u64, 1, 2];
+        let lines = [
+            "zeta a 0",
+            "alpha a 0",
+            "mid a 0",
+            "zeta a 0",
+            "alpha a 0",
+            "alpha a 0",
+        ];
+        let total: u64 = depths.iter().sum();
+        let m = model();
+        for budget in 1..=total {
+            let d = dir(&format!("round_robin_{budget}"));
+            let (mut daemon, _) = Daemon::open(&d, &m, DaemonConfig::default()).unwrap();
+            for line in lines {
+                daemon.ingest_line(line).unwrap();
+            }
+            let mut expect = [0u64; 3];
+            let mut step = budget;
+            while daemon.queued() > 0 {
+                let queued = daemon.queued() as u64;
+                let want = round_robin(&depths, &mut expect, step);
+                let got = daemon.pump(step).unwrap();
+                assert_eq!(got, step.min(queued), "budget {step}");
+                assert_eq!(got, want, "budget {step}");
+                assert_eq!(daemon.queued() as u64, queued - got, "budget {step}");
+                for (name, want) in names.iter().zip(expect) {
+                    let events = daemon.tenant(name).unwrap().engine().stats().events;
+                    assert_eq!(events, want, "{name} after budget {budget}/{step}");
+                }
+                // Then single-event pumps, each restarting at `alpha`.
+                step = 1;
+            }
         }
     }
 
