@@ -1,6 +1,5 @@
 //! The asynchronous crossbar discrete-event simulator.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -206,7 +205,18 @@ pub struct SimReport {
     pub faults: Option<FaultReport>,
 }
 
+/// Owner of an idle port in the per-port owner index.
+const NO_SLOT: u32 = u32::MAX;
+/// Connection id of a free slot (ids count up from 0, so none is taken).
+const NO_CONN: u64 = u64::MAX;
+
+/// One slot of the live-circuit table. Freed slots go on a free list and
+/// keep their port buffers, so once the table has grown to the peak
+/// number of concurrent circuits an accepted call allocates nothing.
 struct LiveConn {
+    /// Id of the circuit held here, or [`NO_CONN`] while the slot is free.
+    /// A departure naming a different id is stale.
+    connection: u64,
     class: usize,
     inputs: Vec<u32>,
     outputs: Vec<u32>,
@@ -227,13 +237,22 @@ pub struct CrossbarSim {
     cfg: SimConfig,
     rng: StdRng,
     now: f64,
-    busy_in: Vec<bool>,
-    busy_out: Vec<bool>,
+    /// Slot holding each input port, or [`NO_SLOT`] while it is idle —
+    /// the busy flags and, for `tear_down_port`, the circuit to remove.
+    owner_in: Vec<u32>,
+    /// Slot holding each output port, or [`NO_SLOT`].
+    owner_out: Vec<u32>,
     /// Total busy inputs (= busy outputs, since every connection takes
     /// `a_r` of each).
     occupancy: u32,
     k: Vec<u64>,
-    live: HashMap<u64, LiveConn>,
+    /// Live-circuit table, indexed by the slot a departure names.
+    slots: Vec<LiveConn>,
+    /// Free slots of `slots`, reused last-freed first.
+    free_slots: Vec<u32>,
+    /// Port buffers an arrival draws into; swapped into the slot on accept.
+    scratch_in: Vec<u32>,
+    scratch_out: Vec<u32>,
     next_conn: u64,
     cal: Calendar,
     /// `P(N1,a_r)·P(N2,a_r)` per class: the ordered-tuple count the
@@ -247,10 +266,15 @@ pub struct CrossbarSim {
     /// rebuilding a `Vec` per event (see [`crate::rates`] for the
     /// bit-compatibility argument).
     arr_rates: RateTable,
-    /// Resident per-class tuple availabilities, recomputed only when the
-    /// occupancy or the failed-port sets change (blocked arrivals and
-    /// end-of-interval events leave them untouched).
-    avail: Vec<f64>,
+    /// Per-class tuple availabilities for every reachable occupancy, one
+    /// row of `R` per occupancy (see [`Self::refresh_avail`]). Empty until
+    /// the first event loop, so construction does no extra work.
+    avail_rows: Vec<f64>,
+    /// The `(failed_in_count, failed_out_count)` the rows were built for.
+    avail_rows_for: Option<(u32, u32)>,
+    /// Stale departures that found their slot reused by a newer circuit.
+    #[cfg(test)]
+    stale_on_reused_slot: u64,
 }
 
 impl CrossbarSim {
@@ -319,11 +343,14 @@ impl CrossbarSim {
             .collect();
         let r = cfg.classes.len();
         Ok(CrossbarSim {
-            busy_in: vec![false; cfg.n1 as usize],
-            busy_out: vec![false; cfg.n2 as usize],
+            owner_in: vec![NO_SLOT; cfg.n1 as usize],
+            owner_out: vec![NO_SLOT; cfg.n2 as usize],
             occupancy: 0,
             k: vec![0; r],
-            live: HashMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            scratch_in: Vec::new(),
+            scratch_out: Vec::new(),
             next_conn: 0,
             cal: Calendar::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -332,7 +359,10 @@ impl CrossbarSim {
             faults: FaultLayer::new(cfg.faults.clone(), cfg.n1, cfg.n2),
             torn_down: 0,
             arr_rates: RateTable::new(r, false),
-            avail: vec![0.0; r],
+            avail_rows: Vec::new(),
+            avail_rows_for: None,
+            #[cfg(test)]
+            stale_on_reused_slot: 0,
             cfg,
         })
     }
@@ -348,29 +378,38 @@ impl CrossbarSim {
     }
 
     /// Probability a uniformly-chosen class-`r` port tuple is fully idle
-    /// *and working* in the current state. Busy and failed port sets are
-    /// disjoint (a failing port's circuit is torn down), so the free count
-    /// subtracts both.
-    fn availability(&self, r: usize) -> f64 {
+    /// *and working* at occupancy `occ` under the current failed-port
+    /// counts. Busy and failed port sets are disjoint (a failing port's
+    /// circuit is torn down), so the free count subtracts both.
+    fn availability(&self, occ: u32, r: usize) -> f64 {
         let a = self.cfg.classes[r].0.bandwidth as u64;
-        let free1 = (self.cfg.n1 - self.occupancy - self.faults.failed_in_count) as u64;
-        let free2 = (self.cfg.n2 - self.occupancy - self.faults.failed_out_count) as u64;
+        let free1 = (self.cfg.n1 - occ - self.faults.failed_in_count) as u64;
+        let free2 = (self.cfg.n2 - occ - self.faults.failed_out_count) as u64;
         permutation(free1, a) * permutation(free2, a) / self.tuple_count[r]
     }
 
-    /// Draw `count` distinct indices in `0..n`, reporting whether all were
-    /// idle in `busy` and whether all were working per `failed`. The
-    /// drawing consumes the same RNG stream regardless of fault state.
+    /// The per-class availabilities in the current state.
+    fn avail_row(&self) -> &[f64] {
+        let r = self.cfg.classes.len();
+        let at = self.occupancy as usize * r;
+        &self.avail_rows[at..at + r]
+    }
+
+    /// Draw `count` distinct indices in `0..n` into `picked`, reporting
+    /// whether all were idle per `owner` and whether all were working per
+    /// `failed`. The drawing consumes the same RNG stream regardless of
+    /// fault state.
     fn draw_ports(
         rng: &mut StdRng,
-        busy: &[bool],
+        owner: &[u32],
         failed: &[bool],
         count: u32,
-    ) -> (Vec<u32>, bool, bool) {
-        let n = busy.len();
-        // Partial Fisher–Yates over a scratch index list is O(n); for the
-        // small port counts here that is cheaper than fancier sampling.
-        let mut picked = Vec::with_capacity(count as usize);
+        picked: &mut Vec<u32>,
+    ) -> (bool, bool) {
+        let n = owner.len();
+        // Rejection sampling with a linear duplicate check: `count` is
+        // the class bandwidth, a handful of ports at most.
+        picked.clear();
         let mut all_free = true;
         let mut all_working = true;
         while picked.len() < count as usize {
@@ -378,7 +417,7 @@ impl CrossbarSim {
             if picked.contains(&cand) {
                 continue;
             }
-            if busy[cand as usize] {
+            if owner[cand as usize] != NO_SLOT {
                 all_free = false;
             }
             if failed[cand as usize] {
@@ -386,7 +425,7 @@ impl CrossbarSim {
             }
             picked.push(cand);
         }
-        (picked, all_free, all_working)
+        (all_free, all_working)
     }
 
     /// Run for `run.warmup + run.duration` sim-time and report measures
@@ -402,8 +441,8 @@ impl CrossbarSim {
 
         let t0 = self.now;
         let batch_len = run.duration / run.batches as f64;
-        let mut batches: Vec<Vec<ClassBatch>> =
-            vec![vec![ClassBatch::default(); r_count]; run.batches];
+        // Batch `b`'s class-`r` accumulator is `batches[b * r_count + r]`.
+        let mut batches = vec![ClassBatch::default(); run.batches * r_count];
         let mut occupancy_time = vec![0.0f64; self.cfg.n1.min(self.cfg.n2) as usize + 1];
         let mut events = 0u64;
         // Fault accounting: window-only deltas via snapshots, plus
@@ -435,12 +474,26 @@ impl CrossbarSim {
                 // Split [from, to) across batch boundaries.
                 let mut cur = from;
                 while cur < to {
-                    let b = batch_of(cur);
-                    let stop = (t0 + (b + 1) as f64 * batch_len).min(to);
+                    let mut b = batch_of(cur);
+                    // Far from `t0` rounding can leave `cur` on or past
+                    // batch `b`'s computed end, where the split would
+                    // stop advancing: move on to the batch ending after
+                    // `cur`. The last batch runs to `to`.
+                    let mut stop = t0 + (b + 1) as f64 * batch_len;
+                    while stop <= cur && b + 1 < run.batches {
+                        b += 1;
+                        stop = t0 + (b + 1) as f64 * batch_len;
+                    }
+                    let stop = if b + 1 == run.batches {
+                        to
+                    } else {
+                        stop.min(to)
+                    };
                     let dt = stop - cur;
-                    for r in 0..r_count {
-                        batches[b][r].k_time += k[r] as f64 * dt;
-                        batches[b][r].avail_time += avail[r] * dt;
+                    let row = &mut batches[b * r_count..(b + 1) * r_count];
+                    for ((cb, &kr), &av) in row.iter_mut().zip(k).zip(avail) {
+                        cb.k_time += kr as f64 * dt;
+                        cb.avail_time += av * dt;
                     }
                     occupancy_time[occ as usize] += dt;
                     cur = stop;
@@ -452,13 +505,13 @@ impl CrossbarSim {
                 blocked,
                 fault_blocked,
             } => {
-                let b = batch_of(at);
-                batches[b][class].offered += 1;
+                let cb = &mut batches[batch_of(at) * r_count + class];
+                cb.offered += 1;
                 if blocked {
-                    batches[b][class].blocked += 1;
+                    cb.blocked += 1;
                 }
                 if fault_blocked {
-                    batches[b][class].fault_blocked += 1;
+                    cb.fault_blocked += 1;
                 }
             }
             Record::Event => events += 1,
@@ -476,7 +529,7 @@ impl CrossbarSim {
             let mut viable_batches = Vec::new();
             let mut conc_batches = Vec::new();
             let mut avail_batches = Vec::new();
-            for b in batches.iter() {
+            for b in batches.chunks_exact(r_count) {
                 let cb = &b[r];
                 offered += cb.offered;
                 blocked += cb.blocked;
@@ -548,31 +601,65 @@ impl CrossbarSim {
         }
     }
 
+    /// Put an accepted class-`class` circuit, whose ports are in the
+    /// scratch buffers, into a free slot and return the slot.
+    fn place(&mut self, class: usize, connection: u64) -> u32 {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(LiveConn {
+                connection: NO_CONN,
+                class,
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+            });
+            (self.slots.len() - 1) as u32
+        });
+        let conn = &mut self.slots[slot as usize];
+        conn.connection = connection;
+        conn.class = class;
+        std::mem::swap(&mut conn.inputs, &mut self.scratch_in);
+        std::mem::swap(&mut conn.outputs, &mut self.scratch_out);
+        for &i in &conn.inputs {
+            self.owner_in[i as usize] = slot;
+        }
+        for &o in &conn.outputs {
+            self.owner_out[o as usize] = slot;
+        }
+        self.occupancy += self.cfg.classes[class].0.bandwidth;
+        self.k[class] += 1;
+        slot
+    }
+
+    /// Release the circuit in `slot` (its ports, its slot and its share of
+    /// the occupancy) and return its class.
+    fn release(&mut self, slot: u32) -> usize {
+        let conn = &mut self.slots[slot as usize];
+        conn.connection = NO_CONN;
+        for &i in &conn.inputs {
+            self.owner_in[i as usize] = NO_SLOT;
+        }
+        for &o in &conn.outputs {
+            self.owner_out[o as usize] = NO_SLOT;
+        }
+        let class = conn.class;
+        self.occupancy -= self.cfg.classes[class].0.bandwidth;
+        self.k[class] -= 1;
+        self.free_slots.push(slot);
+        class
+    }
+
     /// Tear down the (at most one — ports are held exclusively) live
     /// circuit occupying the just-failed port. Its scheduled departure
     /// stays in the calendar as a stale entry the event loop skips.
     /// Returns the torn-down circuit's class so the caller can refresh
     /// that class's resident arrival rate.
     fn tear_down_port(&mut self, side: Side, port: u32) -> Option<usize> {
-        let victim = self.live.iter().find_map(|(&id, conn)| {
-            let ports = match side {
-                Side::Input => &conn.inputs,
-                Side::Output => &conn.outputs,
-            };
-            ports.contains(&port).then_some(id)
-        });
-        victim.map(|id| {
-            let conn = self.live.remove(&id).expect("id came from live");
-            for &i in &conn.inputs {
-                self.busy_in[i as usize] = false;
-            }
-            for &o in &conn.outputs {
-                self.busy_out[o as usize] = false;
-            }
-            self.occupancy -= self.cfg.classes[conn.class].0.bandwidth;
-            self.k[conn.class] -= 1;
+        let slot = match side {
+            Side::Input => self.owner_in[port as usize],
+            Side::Output => self.owner_out[port as usize],
+        };
+        (slot != NO_SLOT).then(|| {
             self.torn_down += 1;
-            conn.class
+            self.release(slot)
         })
     }
 
@@ -582,14 +669,29 @@ impl CrossbarSim {
         self.arr_rates.set(r, v);
     }
 
-    /// Refresh every class's resident availability after an occupancy or
-    /// failed-port change. O(R·a) — the same work the legacy loop paid on
-    /// *every* event, now paid only on state-changing ones.
+    /// Rebuild the availability rows if the failed-port counts changed
+    /// since they were built. Availability depends on the state only
+    /// through `(occupancy, failed_in_count, failed_out_count)`, so one
+    /// row per reachable occupancy, built with the same expression the
+    /// per-event recomputation used, serves every event until the next
+    /// fault transition; an occupancy change just selects another row.
     fn refresh_avail(&mut self) {
-        for r in 0..self.cfg.classes.len() {
-            let v = self.availability(r);
-            self.avail[r] = v;
+        let failed = (self.faults.failed_in_count, self.faults.failed_out_count);
+        if self.avail_rows_for == Some(failed) {
+            return;
         }
+        // Busy and failed ports are disjoint, so the occupancy never
+        // exceeds the working ports on either side.
+        let max_occ = (self.cfg.n1 - failed.0).min(self.cfg.n2 - failed.1);
+        let mut rows = std::mem::take(&mut self.avail_rows);
+        rows.clear();
+        for occ in 0..=max_occ {
+            for r in 0..self.cfg.classes.len() {
+                rows.push(self.availability(occ, r));
+            }
+        }
+        self.avail_rows = rows;
+        self.avail_rows_for = Some(failed);
     }
 
     /// Rebuild both resident caches from the current state (loop entry —
@@ -608,10 +710,12 @@ impl CrossbarSim {
     /// *resident* ([`Self::refresh_residents`]): only state-changing
     /// events (accepted arrivals, live departures, fault transitions)
     /// touch them, and the [`Record::Elapse`] snapshot borrows the
-    /// resident buffers instead of allocating per event. The total-rate
-    /// fold, the class-selection scan, and every RNG draw are unchanged,
-    /// so runs are bit-for-bit identical to the legacy rebuild loop
-    /// (pinned by the golden-stream tests).
+    /// resident buffers instead of allocating per event. Circuits live in
+    /// a slot table with reused port buffers, so once warm the loop
+    /// neither allocates nor hashes. The total-rate fold, the
+    /// class-selection scan, and every RNG draw are unchanged, so runs are
+    /// bit-for-bit identical to the legacy rebuild loop (pinned by the
+    /// golden-stream tests).
     fn advance_until<F>(&mut self, end: f64, record: &mut F)
     where
         F: for<'a> FnMut(Record<'a>),
@@ -653,7 +757,7 @@ impl CrossbarSim {
                 from: self.now,
                 to: t_next,
                 k: &self.k,
-                avail: &self.avail,
+                avail: self.avail_row(),
                 occ: self.occupancy,
                 failed_in: self.faults.failed_in_count,
                 failed_out: self.faults.failed_out_count,
@@ -678,21 +782,24 @@ impl CrossbarSim {
                 self.refresh_avail();
             } else if t_departure <= t_arrival {
                 // Departure. A circuit torn down by a port failure leaves
-                // its departure behind as a stale calendar entry — skip it.
+                // its departure behind as a stale calendar entry; its slot
+                // is free or holds a newer circuit by now — skip it.
                 let ev = self.cal.pop().expect("peeked");
-                let EventKind::Departure { class, connection } = ev.kind;
-                if let Some(conn) = self.live.remove(&connection) {
-                    debug_assert_eq!(conn.class, class);
-                    for &i in &conn.inputs {
-                        self.busy_in[i as usize] = false;
-                    }
-                    for &o in &conn.outputs {
-                        self.busy_out[o as usize] = false;
-                    }
-                    self.occupancy -= self.cfg.classes[class].0.bandwidth;
-                    self.k[class] -= 1;
+                let EventKind::Departure {
+                    class,
+                    slot,
+                    connection,
+                } = ev.kind;
+                let held = self.slots[slot as usize].connection;
+                if held == connection {
+                    debug_assert_eq!(self.slots[slot as usize].class, class);
+                    self.release(slot);
                     self.refresh_class_rate(class);
-                    self.refresh_avail();
+                } else {
+                    #[cfg(test)]
+                    {
+                        self.stale_on_reused_slot += u64::from(held != NO_CONN);
+                    }
                 }
             } else {
                 // Arrival: pick the class proportional to its rate — the
@@ -700,10 +807,20 @@ impl CrossbarSim {
                 let pick = self.rng.gen::<f64>() * total_rate;
                 let class = self.arr_rates.select(pick);
                 let a = self.cfg.classes[class].0.bandwidth;
-                let (inputs, in_free, in_working) =
-                    Self::draw_ports(&mut self.rng, &self.busy_in, &self.faults.failed_in, a);
-                let (outputs, out_free, out_working) =
-                    Self::draw_ports(&mut self.rng, &self.busy_out, &self.faults.failed_out, a);
+                let (in_free, in_working) = Self::draw_ports(
+                    &mut self.rng,
+                    &self.owner_in,
+                    &self.faults.failed_in,
+                    a,
+                    &mut self.scratch_in,
+                );
+                let (out_free, out_working) = Self::draw_ports(
+                    &mut self.rng,
+                    &self.owner_out,
+                    &self.faults.failed_out,
+                    a,
+                    &mut self.scratch_out,
+                );
                 let working = in_working && out_working;
                 let accepted = in_free && out_free && working;
                 record(Record::Offered {
@@ -713,36 +830,78 @@ impl CrossbarSim {
                     fault_blocked: !working,
                 });
                 if accepted {
-                    for &i in &inputs {
-                        self.busy_in[i as usize] = true;
-                    }
-                    for &o in &outputs {
-                        self.busy_out[o as usize] = true;
-                    }
-                    self.occupancy += a;
-                    self.k[class] += 1;
-                    self.refresh_class_rate(class);
-                    self.refresh_avail();
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    self.live.insert(
-                        id,
-                        LiveConn {
-                            class,
-                            inputs,
-                            outputs,
-                        },
-                    );
+                    let slot = self.place(class, id);
+                    self.refresh_class_rate(class);
                     let hold = self.cfg.classes[class].1.sample(&mut self.rng);
                     self.cal.schedule(
                         self.now + hold,
                         EventKind::Departure {
                             class,
+                            slot,
                             connection: id,
                         },
                     );
                 }
             }
+            // Circuits are only torn down, and departures only go stale,
+            // under the dynamic fault process: check the slot table there.
+            #[cfg(test)]
+            if self.faults.dynamic() {
+                self.assert_invariants();
+            }
+        }
+    }
+
+    /// Check the slot table against the port and class state: the busy
+    /// ports are exactly the live slots' ports, each owned by its slot,
+    /// the occupancy is the busy-input count and `k[r]` counts the live
+    /// class-`r` slots.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        let mut owner_in = vec![NO_SLOT; self.owner_in.len()];
+        let mut owner_out = vec![NO_SLOT; self.owner_out.len()];
+        let mut k = vec![0u64; self.k.len()];
+        for (s, conn) in self.slots.iter().enumerate() {
+            let free = self.free_slots.contains(&(s as u32));
+            assert_eq!(
+                free,
+                conn.connection == NO_CONN,
+                "slot {s} free-list mismatch"
+            );
+            if free {
+                continue;
+            }
+            let a = self.cfg.classes[conn.class].0.bandwidth as usize;
+            assert_eq!((conn.inputs.len(), conn.outputs.len()), (a, a));
+            for (owner, ports) in [
+                (&mut owner_in, &conn.inputs),
+                (&mut owner_out, &conn.outputs),
+            ] {
+                for &p in ports {
+                    assert_eq!(owner[p as usize], NO_SLOT, "port {p} held twice");
+                    owner[p as usize] = s as u32;
+                }
+            }
+            k[conn.class] += 1;
+        }
+        assert_eq!(owner_in, self.owner_in);
+        assert_eq!(owner_out, self.owner_out);
+        let busy = self.owner_in.iter().filter(|&&s| s != NO_SLOT).count();
+        assert_eq!(self.occupancy as usize, busy);
+        assert_eq!(k, self.k);
+        for (p, &s) in self.owner_in.iter().enumerate() {
+            assert!(
+                s == NO_SLOT || !self.faults.failed_in[p],
+                "failed input {p} busy"
+            );
+        }
+        for (p, &s) in self.owner_out.iter().enumerate() {
+            assert!(
+                s == NO_SLOT || !self.faults.failed_out[p],
+                "failed output {p} busy"
+            );
         }
     }
 }
@@ -1064,6 +1223,50 @@ mod tests {
         assert_eq!(c.offered, c.accepted + c.blocked);
         assert!(c.fault_blocked <= c.blocked);
         assert!(c.accepted > 0);
+    }
+
+    #[test]
+    fn stale_departures_never_free_a_reused_slot() {
+        // Ports fail about as often as circuits end, so most departures
+        // are stale and many find their slot already reused by a newer
+        // circuit. The event loop checks the slot table against the port
+        // and class state after every event (`assert_invariants`).
+        let cfg = SimConfig::new(5, 5)
+            .with_exp_class(TrafficClass::poisson(0.3))
+            .with_exp_class(TrafficClass::bpp(0.1, 0.05, 1.0).with_bandwidth(2))
+            .with_faults(FaultConfig::from_mtbf_mttr(2.0, 1.0));
+        let mut sim = CrossbarSim::new(cfg, 29);
+        let rep = sim.run(RunConfig {
+            warmup: 10.0,
+            duration: 2_000.0,
+            batches: 5,
+        });
+        let faults = rep.faults.expect("faults enabled");
+        assert!(faults.torn_down > 1_000, "{}", faults.torn_down);
+        assert!(
+            sim.stale_on_reused_slot > 100,
+            "{}",
+            sim.stale_on_reused_slot
+        );
+        assert!(rep.classes.iter().all(|c| c.accepted > 0));
+        // The table never outgrows the switch: at most min(N1, N2)
+        // circuits are live at once.
+        assert!(sim.slots.len() <= 5, "{}", sim.slots.len());
+    }
+
+    #[test]
+    fn long_warmup_short_window_terminates() {
+        // At t0 = 1e5 the batch ends t0 + (b+1)·0.1 round onto or below
+        // the point the split has reached, which used to loop forever.
+        let mut sim = CrossbarSim::new(poisson_cfg(4, 0.01), 5);
+        let rep = sim.run(RunConfig {
+            warmup: 100_000.0,
+            duration: 1.0,
+            batches: 10,
+        });
+        let total: f64 = rep.occupancy.iter().sum();
+        assert!((total - 1.0).abs() < 1e-9, "{total}");
+        assert!(rep.classes[0].concurrency.mean >= 0.0);
     }
 
     #[test]

@@ -9,12 +9,16 @@ use std::collections::BinaryHeap;
 /// What happens at an event instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A class-`r` connection finishes; its ports are identified by the
-    /// connection id.
+    /// A class-`r` connection finishes.
     Departure {
         /// Class index.
         class: usize,
-        /// Key into the simulator's live-connection table.
+        /// Slot of the simulator's live-circuit table the connection was
+        /// placed in. The slot may since have been freed and reused, so
+        /// the departure is live only while the slot still holds
+        /// `connection`.
+        slot: u32,
+        /// Unique connection id (also the tie-break between equal times).
         connection: u64,
     },
 }
@@ -104,6 +108,7 @@ mod tests {
     fn dep(c: u64) -> EventKind {
         EventKind::Departure {
             class: 0,
+            slot: 0,
             connection: c,
         }
     }

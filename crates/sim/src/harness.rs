@@ -192,6 +192,18 @@ fn across(values: Vec<f64>, confidence: Confidence) -> Estimate {
     BatchMeans::from_batches(values).estimate_at(confidence)
 }
 
+/// [`across`] for a ratio only some replications observed: with fewer
+/// than two samples no interval exists, so the half-width is infinite and
+/// an adaptive run keeps adding replications instead of stopping on it.
+fn across_offered(values: Vec<f64>, confidence: Confidence) -> Estimate {
+    let n = values.len();
+    let mut est = across(values, confidence);
+    if n < 2 {
+        est.half_width = f64::INFINITY;
+    }
+    est
+}
+
 // ---------------------------------------------------------------------------
 // Replay (admission engine)
 // ---------------------------------------------------------------------------
@@ -412,7 +424,11 @@ fn merge_sim(per_rep: Vec<SimReport>, rounds: u64, confidence: Confidence) -> Si
             counts[r].1 += c.accepted;
             counts[r].2 += c.blocked;
             counts[r].3 += c.fault_blocked;
-            blocking[r].push(c.blocking.mean);
+            // A replication that never offered the class has no blocking
+            // ratio to contribute (its report carries a placeholder 0).
+            if c.offered > 0 {
+                blocking[r].push(c.blocking.mean);
+            }
             availability[r].push(c.availability.mean);
             concurrency[r].push(c.concurrency.mean);
         }
@@ -423,7 +439,7 @@ fn merge_sim(per_rep: Vec<SimReport>, rounds: u64, confidence: Confidence) -> Si
             accepted: counts[r].1,
             blocked: counts[r].2,
             fault_blocked: counts[r].3,
-            blocking: across(std::mem::take(&mut blocking[r]), confidence),
+            blocking: across_offered(std::mem::take(&mut blocking[r]), confidence),
             availability: across(std::mem::take(&mut availability[r]), confidence),
             concurrency: across(std::mem::take(&mut concurrency[r]), confidence),
         })
@@ -800,6 +816,34 @@ mod tests {
         // And the merged counts are the per-rep sums.
         let offered: u64 = merged.per_rep.iter().map(|r| r.classes[0].offered).sum();
         assert_eq!(merged.classes[0].offered, offered);
+    }
+
+    #[test]
+    fn a_class_never_offered_does_not_read_as_converged() {
+        // Class 1 offers about one call per 10^9 time units, so no
+        // replication sees one. Its blocking has no samples and must not
+        // pass as "0 ± 0": the adaptive run goes on to the cap.
+        let cfg = SimConfig::new(4, 4)
+            .with_exp_class(TrafficClass::poisson(0.2))
+            .with_exp_class(TrafficClass::poisson(1e-9));
+        let run = RunConfig {
+            warmup: 10.0,
+            duration: 200.0,
+            batches: 5,
+        };
+        let rep = RepConfig {
+            replications: 0,
+            master_seed: 3,
+            confidence: Confidence::P99,
+        };
+        let merged = run_sim_until_ci(&cfg, &run, &rep, CiTarget::new(0.5)).expect("valid sim");
+        assert_eq!(merged.classes[1].offered, 0);
+        assert_eq!(merged.classes[1].blocking.half_width, f64::INFINITY);
+        assert_eq!(merged.replications, 64);
+        assert!(merged.rounds > 1);
+        // The offered class converges as before.
+        assert!(merged.classes[0].offered > 0);
+        assert!(merged.classes[0].blocking.half_width <= 0.5);
     }
 
     #[test]

@@ -155,6 +155,8 @@ impl HotspotSim {
                         now + hold,
                         EventKind::Departure {
                             class: 0,
+                            // Unused: this loop keys circuits by id.
+                            slot: 0,
                             connection: id,
                         },
                     );
